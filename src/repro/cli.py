@@ -67,13 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_args(p_par)
     p_par.add_argument("--processes", type=int, default=None,
                        help="pool size (default: min(grids, CPUs))")
-    p_par.add_argument("--dispatch", choices=("longest-first", "static"),
-                       default="longest-first",
-                       help="job ordering: cost-model LPT or the seed's "
-                       "static pool.map chunking")
     p_par.add_argument("--cold", action="store_true",
-                       help="seed behaviour: throwaway pool, no operator "
-                       "or factorization reuse")
+                       help="cold path: a private pool forked for the run, "
+                       "no operator or factorization reuse")
     p_par.add_argument("--repeat", type=int, default=1,
                        help="repeat the run to show the warm-up trajectory")
     p_par.add_argument("--model", default=None,
@@ -82,17 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--verify", action="store_true",
                        help="also run sequentially and compare bitwise")
     p_par.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject faults and run fault-tolerant: e.g. "
+                       help="inject faults: e.g. "
                        "'crash@1,2' or 'slow@*:factor=3,rate=0.2' "
                        "(see docs/resilience.md for the grammar)")
     p_par.add_argument("--fault-seed", type=int, default=0,
                        help="seed for rate-sampled fault rules")
     p_par.add_argument("--retry", type=int, default=None, metavar="N",
-                       help="fault-tolerant execution with N attempts "
-                       "per job (default policy: 3)")
+                       help="N attempts per job before the in-master "
+                       "fallback (default policy: 3)")
     p_par.add_argument("--deadline-factor", type=float, default=None,
                        metavar="X",
-                       help="fault-tolerant execution; declare a job "
+                       help="declare a job "
                        "hung after X times its cost-model-predicted "
                        "seconds (default policy: 8.0)")
     p_par.add_argument("--deadline-seconds", type=float, default=None,
@@ -106,11 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result transport: pickle through the pool's "
                        "result pipe (seed behaviour) or zero-copy "
                        "shared-memory blocks with streaming combination")
-    p_par.add_argument("--engine", choices=("pool", "task", "socket"),
+    p_par.add_argument("--engine", choices=("pool", "socket"),
                        default="pool",
-                       help="execution substrate: the fork pool, "
-                       "per-worker OS task instances, or worker daemons "
-                       "over real TCP (see docs/distributed.md)")
+                       help="execution substrate: the fork pool, or worker "
+                       "daemons over real TCP (see docs/distributed.md)")
     p_par.add_argument("--hosts", default=None, metavar="SPEC",
                        help="socket-engine hosts: 'localhost:N' spawns N "
                        "loopback daemons; 'tcp://host:port' dials a "
@@ -342,7 +337,6 @@ def cmd_run_parallel(args) -> int:
             root=args.root, level=args.level, tol=args.tol,
             problem_name=args.problem,
             processes=args.processes,
-            dispatch=args.dispatch,
             cost_model=model,
             warm_pool=not args.cold,
             operator_cache=not args.cold,

@@ -24,7 +24,7 @@ hand-off.  This module is that hand-off:
   view over the existing mapping — zero syscalls, zero copies.
 
 **Generations.**  Every lease is tagged with the plane's current
-generation.  When the resilient dispatch loop respawns a wedged pool it
+generation.  When the fork-pool transport respawns a wedged pool it
 calls :meth:`DataPlane.bump_generation`, which reclaims every
 outstanding lease (their writers died with the old pool) and invalidates
 their descriptors: a stale descriptor that still arrives — e.g. from a

@@ -6,8 +6,9 @@ attempt(s) it applies to, and an optional deterministic sampling rate.
 The same plan object drives two very different backends:
 
 * **in-process, against the real pool** — :func:`resilient_entry` is
-  the job wrapper the fault-tolerant dispatch loop of
-  :mod:`repro.restructured.parallel` ships to the fork-pool workers.
+  the job wrapper the fork-pool transport of
+  :mod:`repro.restructured.parallel` ships to the pool workers on
+  every run (with no plan, it only reports heartbeats).
   A matched ``crash`` rule really calls ``os._exit`` inside the worker
   OS process, a ``hang`` rule really sleeps through the deadline, so
   the recovery machinery is exercised against genuine process death,

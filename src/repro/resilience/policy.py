@@ -20,8 +20,9 @@ failure-handling decision of this repository lives here, as data:
   an in-master sequential subsolve → fail the run with a structured
   :class:`FaultReport`.
 
-The same ladder serves the OS-level path (crashed/hung fork-pool
-workers, :mod:`repro.restructured.parallel`) and the MANIFOLD-level path
+The same ladder serves the OS-level path (crashed/hung workers of the
+fork pool or the socket daemons, walked by
+:class:`~repro.restructured.ledger.JobLedger`) and the MANIFOLD-level path
 (``death_worker`` supervision, :mod:`repro.protocol.supervision`); both
 record what happened as :class:`FaultEvent` entries so a run's failure
 history is one auditable object either way.

@@ -19,7 +19,11 @@ generic master/worker protocol.
   warm path orders jobs longest-predicted-first (LPT) over
 * :mod:`pool` — the persistent worker pool: one long-lived fork pool
   shared across levels, runs and engines, whose warm workers retain
-  their process-local operator caches between jobs.
+  their process-local operator caches between jobs;
+* :mod:`ledger` — the one dispatch core every run goes through: the
+  job ledger and its escalation ladder, with the fork pool of
+  :mod:`parallel` and the socket reactor of :mod:`netengine` as its
+  two transports.
 """
 
 from .master import ConcurrentResult, make_master_definition
@@ -48,7 +52,6 @@ from .worker import (
     SubsolveJobSpec,
     SubsolvePayload,
     execute_job,
-    execute_job_uncached,
     make_subsolve_worker,
 )
 
@@ -71,7 +74,6 @@ __all__ = [
     "acquire_pool",
     "child_heartbeat_queue",
     "execute_job",
-    "execute_job_uncached",
     "make_master_definition",
     "make_subsolve_worker",
     "order_longest_first",

@@ -15,12 +15,12 @@ Master threading model: **one thread, one selector**.  The master owns
 every daemon socket through a single :class:`selectors.DefaultSelector`
 reactor — non-blocking sockets with a stateful per-link
 :class:`_FrameDecoder` doing incremental frame decoding, a per-link
-write queue with partial-send handling, and a :class:`_TimerWheel` that
-schedules everything the thread-per-link predecessor used to block on:
-retry backoff, reconnect backoff, heartbeat-silence deadlines, per-job
-deadlines.  No code path on the dispatch loop ever calls
-``time.sleep``; its only blocking point is ``selector.select`` with the
-wheel's next due time as the timeout.  That is what lets one master
+write queue with partial-send handling, and the job ledger's
+:class:`~repro.restructured.ledger.TimerWheel` scheduling everything the
+thread-per-link predecessor used to block on: retry backoff, reconnect
+backoff, heartbeat-silence deadlines, per-job deadlines.  No code path
+on the dispatch loop ever calls ``time.sleep``; its only blocking point
+is ``selector.select`` with the wheel's next due time as the timeout.  That is what lets one master
 hold dozens (or hundreds) of daemon links without a reader thread per
 link, and it removes a whole class of head-of-line stalls: one grid
 backing off, or one flapping daemon reconnecting, no longer freezes
@@ -45,9 +45,11 @@ Failure model — composing with the resilience ladder of
 * a **per-job deadline** (cost-model-scaled) catches a wedged job on an
   otherwise healthy daemon; the daemon is replaced so the wedged
   compute cannot outlive the run (or scribble into a reclaimed lease);
-* escalation follows the same :class:`~repro.resilience.policy.
-  EscalationPolicy` ladder as the fork pool — retry, reassign,
-  in-master sequential fallback, structured failure.
+* every job-level decision — escalation (retry, reassign, in-master
+  sequential fallback, structured failure), completion, the lease rule
+  — is made by the same :class:`~repro.restructured.ledger.JobLedger`
+  that drives the fork pool; the master here is only its socket
+  transport.
 
 Replays are idempotent: results are keyed ``(l, m)`` and a result frame
 whose attempt does not match the outstanding one is dropped, so a
@@ -69,7 +71,6 @@ right after its first attach (:func:`_untrack_after_ship`).
 from __future__ import annotations
 
 import errno
-import heapq
 import os
 import pickle
 import selectors
@@ -83,8 +84,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .ledger import _DEADLINE_GRACE, Attempt, JobLedger, LedgerOutcome, TimerWheel
 from .taskengine import TaskInstanceDied, TaskInstanceEngine
-from .worker import SubsolveJobSpec, SubsolvePayload, execute_job, ship_payload
+from .worker import SubsolveJobSpec, SubsolvePayload, ship_payload
 
 __all__ = [
     "FrameError",
@@ -103,11 +105,6 @@ _HEADER = struct.Struct("!4sI")
 
 #: refuse to allocate absurd frames (a corrupted or hostile header)
 MAX_FRAME_BYTES = 1 << 30
-
-#: scheduling slack added to deadline timers so a conviction never
-#: lands a clock-granularity tick *before* its full window has elapsed
-_DEADLINE_GRACE = 0.005
-
 
 class FrameError(ConnectionError):
     """The framed stream broke: bad magic, truncation, oversize."""
@@ -235,52 +232,8 @@ class _FrameDecoder:
         return frames
 
 
-class _TimerWheel:
-    """The reactor's time source: a heap of ``(due, seq, callback)``.
-
-    Everything the thread-per-link engine used to ``time.sleep`` for —
-    retry backoff, reconnect backoff, heartbeat-silence deadlines,
-    per-job deadlines — becomes a scheduled callback here, so the
-    dispatch loop's only blocking point is ``selector.select`` with
-    :meth:`next_timeout` as its timeout.  Callbacks validate their
-    subject at fire time (epoch, pending identity, revive token)
-    instead of being cancelled, which keeps scheduling O(log n) with no
-    bookkeeping on the hot path.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self.clock = clock
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` on the reactor thread ``delay`` seconds on."""
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (self.clock() + max(0.0, delay), self._seq, callback)
-        )
-
-    def next_timeout(self) -> Optional[float]:
-        """Seconds until the earliest timer, ``None`` on an empty wheel."""
-        if not self._heap:
-            return None
-        return max(0.0, self._heap[0][0] - self.clock())
-
-    def fire_due(self) -> int:
-        """Run every callback whose due time has passed; returns how many."""
-        fired = 0
-        while self._heap and self._heap[0][0] <= self.clock():
-            _, _, callback = heapq.heappop(self._heap)
-            callback()
-            fired += 1
-        return fired
-
-
 def arm_heartbeat_deadline(
-    timers: _TimerWheel,
+    timers: TimerWheel,
     link: "_DaemonLink",
     timeout: float,
     on_silent: Callable[["_DaemonLink"], None],
@@ -662,18 +615,6 @@ class WorkerDaemon:
 # ----------------------------------------------------------------------
 # the master side
 # ----------------------------------------------------------------------
-@dataclass
-class _NetPending:
-    """Master-side bookkeeping of one job attempt in flight on a daemon."""
-
-    spec: SubsolveJobSpec
-    attempt: int
-    link: "_DaemonLink"
-    deadline_at: float
-    submitted_at: float
-    lease: Optional[object] = None
-
-
 class _OutFrame:
     """One queued outgoing frame with partial-send progress."""
 
@@ -712,7 +653,7 @@ class _DaemonLink:
         self.proc: Optional[subprocess.Popen] = None
         self.capacity = 0               # learned from the hello frame
         self.pid: Optional[int] = None
-        self.inflight: dict[tuple[int, int], _NetPending] = {}
+        self.inflight: dict[tuple[int, int], Attempt] = {}
         self.last_frame = time.monotonic()
         self.alive = False
         self.reconnects = 0
@@ -741,16 +682,10 @@ class _DaemonLink:
 
 
 @dataclass
-class NetOutcome:
-    """What one socket-engine run produced (the resilient-outcome shape
-    plus the network accounting)."""
+class NetOutcome(LedgerOutcome):
+    """What one socket-engine run produced: the ledger's outcome plus
+    the network accounting."""
 
-    payloads: dict[tuple[int, int], SubsolvePayload]
-    completion_order: tuple[tuple[int, int], ...]
-    attempts: int
-    events: tuple
-    recovered_keys: tuple[tuple[int, int], ...]
-    fallback_keys: tuple[tuple[int, int], ...]
     reconnects: int
     daemons: int
     bytes_sent: int
@@ -769,9 +704,6 @@ class SocketTaskEngine:
     The engine is a single-threaded reactor: every daemon socket is
     non-blocking and owned by one ``selectors.DefaultSelector``, so the
     master's thread count stays O(1) however many links it holds.
-    ``poll_interval`` is kept as the idle-select fallback for an empty
-    timer wheel; with the wheel armed (always, once a link is alive) it
-    is effectively unused.
     """
 
     def __init__(
@@ -784,7 +716,6 @@ class SocketTaskEngine:
         connect_timeout: float = 20.0,
         reconnect_backoff: float = 0.05,
         max_reconnects: int = 5,
-        poll_interval: float = 0.02,
     ) -> None:
         self.host_specs = (
             parse_hosts(hosts) if isinstance(hosts, str) else tuple(hosts)
@@ -795,7 +726,6 @@ class SocketTaskEngine:
         self.connect_timeout = connect_timeout
         self.reconnect_backoff = reconnect_backoff
         self.max_reconnects = max_reconnects
-        self.poll_interval = poll_interval
         self._selector = selectors.DefaultSelector()
         self._closed = False
         self.reconnects = 0
@@ -918,6 +848,10 @@ class SocketTaskEngine:
         link.revive_token += 1
         link.sendq.clear()
         link.events_mask = 0
+        self._release(link)
+
+    def _release(self, link: _DaemonLink) -> None:
+        """Close the link's socket and spawn pipe, kill its daemon."""
         if link.sock is not None:
             self._unregister(link.sock)
             # shutdown before close: deterministically sends the FIN/RST
@@ -994,44 +928,28 @@ class SocketTaskEngine:
     ) -> NetOutcome:
         """Dispatch ``ordered`` (LPT order preserved) across the daemons.
 
-        Mirrors the fork-pool resilient loop: per-job deadlines, fault
-        escalation, idempotent completion keyed ``(l, m)`` — with the
-        detection channels of a network: connection loss and heartbeat
-        silence instead of PID liveness.  The loop is a single-threaded
-        selectors reactor: reads, writes, retries, reconnects and every
-        deadline all multiplex through one ``select``, so a fault or a
-        flapping daemon on one link never blocks completion handling on
-        another.
+        The socket transport of the :class:`~repro.restructured.ledger.
+        JobLedger`: per-job deadlines, fault escalation, idempotent
+        completion keyed ``(l, m)`` and the lease rule are the ledger's;
+        this reactor adds the detection channels of a network —
+        connection loss and heartbeat silence — around the links,
+        framing and reconnect state machine.  Reads, writes, retries,
+        reconnects and every deadline multiplex through one ``select``,
+        so a fault or a flapping daemon on one link never blocks
+        completion handling on another.
         """
-        from repro.resilience import (
-            EscalationStep,
-            FaultEvent,
-            FaultLog,
-            FaultToleranceExhausted,
-        )
-
         trace = trace if trace is not None else self.trace
-        log = fault_log if fault_log is not None else FaultLog()
-        retry, deadline_policy = escalation.retry, escalation.deadline
-        ready: deque[tuple[SubsolveJobSpec, int]] = deque(
-            (spec, 1) for spec in ordered
+        ledger = JobLedger(
+            ordered,
+            escalation=escalation,
+            use_cache=use_cache,
+            cost_model=cost_model,
+            fault_log=fault_log,
+            sink=sink,
+            trace=trace,
         )
-        completed: dict[tuple[int, int], SubsolvePayload] = {}
-        completion_order: list[tuple[int, int]] = []
-        pending: dict[tuple[int, int], _NetPending] = {}
-        recovered_keys: list[tuple[int, int]] = []
-        fallback_keys: list[tuple[int, int]] = []
-        attempts = 0
-        #: jobs parked on a retry-backoff timer: neither pending nor
-        #: ready, but the run is not done until they re-enter the queue
-        backoff_waiting = 0
-        timers = _TimerWheel()
+        timers = ledger.timers
         clock = timers.clock
-
-        def predicted(spec: SubsolveJobSpec) -> Optional[float]:
-            if cost_model is None:
-                return None
-            return float(cost_model.predict_seconds(spec.l, spec.m, spec.tol))
 
         def record_net(kind: str, key, nbytes: int, seconds: float, **extra) -> None:
             if kind == "net_send":
@@ -1058,10 +976,10 @@ class SocketTaskEngine:
                 self._selector.modify(link.sock, mask, ("io", link))
                 link.events_mask = mask
 
-        def flush_sendq(link: _DaemonLink) -> bool:
+        def flush_sendq(link: _DaemonLink) -> None:
             """Drain the link's write queue as far as the socket buffer
-            allows; ``False`` when the connection broke under it (the
-            link is already lost and its jobs re-routed)."""
+            allows; a broken connection loses the link (its jobs are
+            re-routed)."""
             while link.sendq and link.alive:
                 out = link.sendq[0]
                 t0 = time.perf_counter()
@@ -1076,7 +994,7 @@ class SocketTaskEngine:
                         detected_by="connection",
                         error=repr(exc),
                     )
-                    return False
+                    return
                 out.seconds += time.perf_counter() - t0
                 if sent == 0:  # pragma: no cover - defensive
                     break
@@ -1092,58 +1010,19 @@ class SocketTaskEngine:
                             frame_kind="job",
                         )
             update_write_interest(link)
-            return True
 
-        def queue_frame(link: _DaemonLink, kind: str, data: object, key=None) -> bool:
+        def queue_frame(link: _DaemonLink, kind: str, data: object, key=None) -> None:
             body = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
             link.sendq.append(
                 _OutFrame(_HEADER.pack(MAGIC, len(body)) + body, kind, key)
             )
-            return flush_sendq(link)
+            flush_sendq(link)
 
         # ------------------------------------------------------------------
-        # dispatch and completion
+        # dispatch, and the two ways a daemon is lost
         # ------------------------------------------------------------------
-        def submit(spec: SubsolveJobSpec, attempt: int, link: _DaemonLink) -> bool:
-            nonlocal attempts
-            key = (spec.l, spec.m)
-            lease = (
-                sink.lease_for(spec)
-                if sink is not None and link.shm_ok
-                else None
-            )
-            attempts += 1
-            now = clock()
-            job = _NetPending(
-                spec=spec,
-                attempt=attempt,
-                link=link,
-                deadline_at=now + deadline_policy.deadline_seconds(predicted(spec)),
-                submitted_at=now,
-                lease=lease,
-            )
-            pending[key] = job
-            link.inflight[key] = job
-            if trace is not None:
-                trace.record(
-                    "job_submit", key=key, worker=link.name, attempt=attempt
-                )
-            # registered *before* the queue flush: if the send trips over
-            # a dead socket, lose_link convicts and re-routes this job
-            # along with the rest of the link's in-flight work
-            if not queue_frame(link, "job", {
-                "spec": spec,
-                "plan": plan,
-                "attempt": attempt,
-                "use_cache": use_cache,
-                "lease": lease,
-            }, key=key):
-                return False
-            arm_job_deadline(key, job)
-            return True
-
         def dispatch_ready() -> None:
-            while ready:
+            while ledger.ready:
                 link = next(
                     (
                         l
@@ -1154,161 +1033,50 @@ class SocketTaskEngine:
                 )
                 if link is None:
                     return
-                spec, attempt = ready.popleft()
-                submit(spec, attempt, link)
+                spec, attempt = ledger.ready.popleft()
+                job = ledger.send(spec, attempt, worker=link, shm=link.shm_ok)
+                # registered *before* the queue flush: if the send trips
+                # over a dead socket, lose_link convicts and re-routes
+                # this job along with the rest of the link's work
+                link.inflight[job.key] = job
+                queue_frame(link, "job", {
+                    "spec": spec,
+                    "plan": plan,
+                    "attempt": attempt,
+                    "use_cache": use_cache,
+                    "lease": job.lease,
+                }, key=job.key)
 
-        def complete(key, attempt: int, payload: SubsolvePayload) -> None:
-            from repro.perf.dataplane import DataPlaneError, StaleLeaseError
-
-            job = pending.get(key)
-            if job is None or job.attempt != attempt:
-                return  # a stale replay from a daemon declared lost
-            if sink is not None:
-                try:
-                    sink.consume(key, payload, attempt=attempt)
-                except StaleLeaseError as exc:
-                    handle_fault(
-                        key, "stale", detected_by="dataplane", error=repr(exc)
-                    )
-                    return
-                except DataPlaneError as exc:
-                    handle_fault(
-                        key,
-                        "transport",
-                        detected_by="dataplane",
-                        error=repr(exc),
-                    )
-                    return
-            del pending[key]
-            job.link.inflight.pop(key, None)
-            completed[key] = payload
-            completion_order.append(key)
-            from .parallel import _trace_payload
-
-            _trace_payload(trace, payload, attempt=attempt)
-            if job.attempt > 1 and key not in recovered_keys:
-                recovered_keys.append(key)
-
-        def fail_run(cause: Optional[BaseException] = None) -> None:
-            report = log.report(
-                recovered_keys=recovered_keys,
-                fallback_keys=fallback_keys,
-                failed_key=log.events()[-1].key if len(log) else None,
-            )
-            raise FaultToleranceExhausted(report) from cause
-
-        def handle_fault(key, kind: str, detected_by: str, error: str = "") -> None:
-            nonlocal backoff_waiting
-            job = pending.pop(key)
-            job.link.inflight.pop(key, None)
-            if sink is not None and job.lease is not None:
-                # safe unconditionally: every faulting path either ends
-                # with the daemon process dead (crash/hang/deadline kill
-                # it in lose_link) or with a daemon that never wrote
-                # (error frame, refused descriptor)
-                sink.plane.revoke(job.lease.name, reason=kind)
-            step = escalation.decide(job.attempt, kind)
-            event = FaultEvent(
-                key=key,
-                kind=kind,
-                attempt=job.attempt,
-                action=step.value,
-                detected_by=detected_by,
-                error=error,
-                seconds_lost=clock() - job.submitted_at,
-            )
-            log.record(event)
-            if trace is not None:
-                trace.record_fault(event)
-            if step in (EscalationStep.RETRY, EscalationStep.REASSIGN):
-                # timer-scheduled, never slept: the reactor keeps serving
-                # every other link's frames while this grid backs off
-                delay = retry.delay_seconds(job.attempt, key)
-                backoff_waiting += 1
-
-                def requeue(job=job, key=key, kind=kind, delay=delay) -> None:
-                    nonlocal backoff_waiting
-                    backoff_waiting -= 1
-                    if trace is not None:
-                        trace.record(
-                            "retry",
-                            key=key,
-                            attempt=job.attempt + 1,
-                            cause=kind,
-                            backoff_seconds=delay,
-                        )
-                    ready.appendleft((job.spec, job.attempt + 1))
-
-                timers.schedule(delay, requeue)
-            elif step is EscalationStep.FALLBACK:
-                # graceful degradation: the master computes the grid
-                # itself, sequentially and without injection; never
-                # through the data plane (no lease, no descriptor)
-                try:
-                    payload = execute_job(job.spec, use_cache=use_cache)
-                except Exception as exc:
-                    log.record(
-                        FaultEvent(
-                            key=key,
-                            kind="exception",
-                            attempt=job.attempt,
-                            action="fail",
-                            detected_by="fallback",
-                            error=repr(exc),
-                        )
-                    )
-                    fail_run(exc)
-                if sink is not None:
-                    sink.consume(key, payload, attempt=job.attempt + 1)
-                completed[key] = payload
-                completion_order.append(key)
-                fallback_keys.append(key)
-                if trace is not None:
-                    trace.record(
-                        "fallback", key=key, attempt=job.attempt, cause=kind
-                    )
-                    from .parallel import _trace_payload
-
-                    _trace_payload(
-                        trace, payload, attempt=job.attempt + 1, fallback=True
-                    )
-                if key not in recovered_keys:
-                    recovered_keys.append(key)
-            else:  # EscalationStep.FAIL
-                fail_run()
+        def kill(link: _DaemonLink) -> list:
+            """Tear the daemon down; return the jobs it held."""
+            self._detach(link)
+            held = list(link.inflight.values())
+            link.inflight.clear()
+            return held
 
         def lose_link(
-            link: _DaemonLink,
-            *,
-            kind: str,
-            detected_by: str,
-            error: str,
-            culprit=None,
+            link: _DaemonLink, *, kind: str, detected_by: str, error: str
         ) -> None:
-            """A daemon died, went silent, or wedged one job: kill it,
-            fault the culprit (or everything in flight), re-queue the
-            collateral at its same attempt, then schedule its revival."""
+            """A daemon died or went silent: kill it, fault everything
+            it held, then schedule its revival."""
             if not link.alive:
                 return
-            self._detach(link)
-            for key in list(link.inflight):
-                job = link.inflight[key]
-                if culprit is None or key == culprit:
-                    handle_fault(key, kind, detected_by=detected_by, error=error)
-                else:
-                    # collateral of a daemon replacement: not the job's
-                    # fault, so no escalation step is consumed
-                    link.inflight.pop(key, None)
-                    pending.pop(key, None)
-                    if sink is not None and job.lease is not None:
-                        sink.plane.revoke(job.lease.name, reason="collateral")
-                    ready.appendleft((job.spec, job.attempt))
-            link.inflight.clear()
+            ledger.lost(kill(link), kind=kind, detected_by=detected_by, error=error)
             schedule_revive(link, reason=kind)
 
+        def overdue(job) -> list:
+            """A job on an otherwise healthy daemon is past its deadline:
+            replace the daemon, so the wedged compute can neither outlive
+            the run nor scribble into a reclaimed lease."""
+            link = job.worker
+            held = kill(link)
+            schedule_revive(link, reason="deadline")
+            return held
+
+        ledger.on_overdue = overdue
+
         # ------------------------------------------------------------------
-        # the timer-driven reconnect state machine — the iterative
-        # replacement for _revive's blocking sleep + self-recursion
+        # the timer-driven reconnect state machine
         # ------------------------------------------------------------------
         def schedule_revive(link: _DaemonLink, reason: str) -> None:
             """Arm the next reconnect attempt's backoff timer; a spent
@@ -1334,8 +1102,8 @@ class SocketTaskEngine:
             if link.spawned:
                 try:
                     link.proc = self._launch()
-                except OSError as exc:
-                    abort_revive_attempt(link)
+                except OSError:
+                    self._release(link)
                     schedule_revive(link, link.revive_reason)
                     return
                 fd = link.proc.stdout.fileno()
@@ -1361,7 +1129,7 @@ class SocketTaskEngine:
                     sock.close()
                 except OSError:  # pragma: no cover - defensive
                     pass
-                abort_revive_attempt(link)
+                self._release(link)
                 schedule_revive(link, link.revive_reason)
                 return
             link.sock = sock  # held for cleanup; the link is not alive yet
@@ -1370,35 +1138,10 @@ class SocketTaskEngine:
                 self.connect_timeout, lambda: revive_timed_out(link, token)
             )
 
-        def abort_revive_attempt(link: _DaemonLink) -> None:
-            """Release whatever this attempt half-built (connecting
-            socket, spawn pipe, daemon process)."""
-            if link.sock is not None:
-                self._unregister(link.sock)
-                try:
-                    link.sock.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-                link.sock = None
-            if link.spawn_fd is not None:
-                self._unregister(link.spawn_fd)
-                link.spawn_fd = None
-                link.spawn_buf = b""
-            if link.proc is not None:
-                if link.proc.poll() is None:
-                    link.proc.kill()
-                try:
-                    link.proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
-                if link.proc.stdout is not None:
-                    link.proc.stdout.close()
-                link.proc = None
-
         def revive_timed_out(link: _DaemonLink, token: int) -> None:
             if link.revive_token != token or not link.reviving:
                 return
-            abort_revive_attempt(link)
+            self._release(link)
             schedule_revive(link, link.revive_reason)
 
         def on_spawn_output(link: _DaemonLink) -> None:
@@ -1414,7 +1157,7 @@ class SocketTaskEngine:
                 chunk = b""
             if not chunk:
                 # EOF before LISTENING: the daemon died on startup
-                abort_revive_attempt(link)
+                self._release(link)
                 schedule_revive(link, link.revive_reason)
                 return
             link.spawn_buf += chunk
@@ -1465,7 +1208,7 @@ class SocketTaskEngine:
                 )
 
         # ------------------------------------------------------------------
-        # deadlines on the wheel
+        # heartbeat silence on the wheel
         # ------------------------------------------------------------------
         def on_silent(link: _DaemonLink) -> None:
             lose_link(
@@ -1483,26 +1226,19 @@ class SocketTaskEngine:
                 timers, link, self.heartbeat_timeout, on_silent
             )
 
-        def arm_job_deadline(key, job: _NetPending) -> None:
-            def fire() -> None:
-                if pending.get(key) is not job:
-                    return  # completed, faulted, or re-dispatched already
-                lose_link(
-                    job.link,
-                    kind="deadline",
-                    detected_by="deadline",
-                    error=(
-                        f"no result within "
-                        f"{job.deadline_at - job.submitted_at:.2f}s"
-                    ),
-                    culprit=key,
-                )
-
-            timers.schedule(job.deadline_at - clock() + _DEADLINE_GRACE, fire)
-
         # ------------------------------------------------------------------
         # the read side
         # ------------------------------------------------------------------
+        def answered(link: _DaemonLink, data):
+            """The in-flight job a result/error frame answers, taken off
+            the link; ``None`` for a stale attempt."""
+            key = tuple(data["key"])
+            job = link.inflight.get(key)
+            if job is None or job.attempt != int(data["attempt"]):
+                return None
+            del link.inflight[key]
+            return job
+
         def handle_frame(
             link: _DaemonLink, kind: str, data, nbytes: int, seconds: float
         ) -> None:
@@ -1516,22 +1252,19 @@ class SocketTaskEngine:
                 return
             if kind == "heartbeat":
                 return  # last_frame was already bumped by on_readable
-            if kind == "result":
-                key = tuple(data["key"])
+            if kind in ("result", "error"):
                 record_net(
-                    "net_recv", key, nbytes, seconds, frame_kind="result"
+                    "net_recv", tuple(data["key"]), nbytes, seconds,
+                    frame_kind=kind,
                 )
-                complete(key, int(data["attempt"]), data["payload"])
-                return
-            if kind == "error":
-                key = tuple(data["key"])
-                record_net(
-                    "net_recv", key, nbytes, seconds, frame_kind="error"
-                )
-                job = pending.get(key)
-                if job is not None and job.attempt == int(data["attempt"]):
-                    handle_fault(
-                        key,
+                job = answered(link, data)
+                if job is None:
+                    return  # a stale replay from a superseded attempt
+                if kind == "result":
+                    ledger.done(job, data["payload"])
+                else:
+                    ledger.fault(
+                        job,
                         data.get("fault_kind", "exception"),
                         detected_by="daemon",
                         error=data.get("error", ""),
@@ -1595,16 +1328,10 @@ class SocketTaskEngine:
 
         # the loop also drains in-progress revives: the outcome's
         # reconnect count must describe daemons that actually came back
-        # (and traced their ``reconnect`` event), same as the threaded
-        # engine whose inline revive always completed before returning
-        while (
-            pending
-            or ready
-            or backoff_waiting
-            or any(l.reviving for l in self.links)
-        ):
+        # (and traced their ``reconnect`` event)
+        while not ledger.finished or any(l.reviving for l in self.links):
             if not any(l.alive or l.reviving for l in self.links):
-                fail_run(
+                ledger.abort(
                     RuntimeError(
                         "every worker daemon is lost and out of "
                         "reconnect budget"
@@ -1613,10 +1340,9 @@ class SocketTaskEngine:
                     )
                 )
             dispatch_ready()
-            timeout = timers.next_timeout()
-            if timeout is None:  # pragma: no cover - wheel is never empty
-                timeout = self.poll_interval
-            for sel_key, mask in self._selector.select(timeout):
+            # never an empty wheel here: every live link keeps a
+            # heartbeat watch armed, every revive its backoff timer
+            for sel_key, mask in self._selector.select(timers.next_timeout()):
                 tag, link = sel_key.data
                 if tag == "io":
                     on_io(link, mask)
@@ -1627,12 +1353,7 @@ class SocketTaskEngine:
             timers.fire_due()
 
         return NetOutcome(
-            payloads=completed,
-            completion_order=tuple(completion_order),
-            attempts=attempts,
-            events=tuple(log.events()),
-            recovered_keys=tuple(recovered_keys),
-            fallback_keys=tuple(fallback_keys),
+            **vars(ledger.outcome()),
             reconnects=self.reconnects,
             daemons=len(self.links),
             bytes_sent=self.bytes_sent,

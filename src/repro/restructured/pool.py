@@ -20,18 +20,21 @@ This module keeps **one** fork pool alive for the whole process:
   pool down at interpreter exit.
 
 Beyond the warm path, the pool is the *observable substrate* of the
-fault-tolerant execution layer (:mod:`repro.resilience`):
+job ledger's fork-pool transport (:mod:`repro.restructured.parallel`):
 
 * every dispatch and the shutdown path are serialized on a lock, so a
   job submitted while another thread (or the ``atexit`` hook) shuts the
   pool down raises a clean :class:`PoolClosedError` instead of racing
   ``multiprocessing`` internals or hanging;
-* a **heartbeat queue** is created *before* the fork, so pool children
-  inherit it and the resilient job wrapper can report which worker PID
-  holds which job;
-* :meth:`PersistentWorkerPool.reap_dead_workers` checks OS process
-  liveness, letting the master attribute a vanished PID to its lost job
-  immediately instead of waiting out the job's deadline;
+* :meth:`PersistentWorkerPool.submit` takes a completion callback, run
+  on the pool's result thread, so the master waits in ``select``
+  instead of polling handles;
+* a **heartbeat queue** per pool, handed to every worker by the pool's
+  initializer, lets the job wrapper report which worker PID holds
+  which job; its pipe is selectable (:meth:`heartbeat_fileno`);
+* :meth:`PersistentWorkerPool.worker_processes` exposes the workers
+  whose exit sentinels turn a crash into a wake-up the moment it
+  happens, instead of a job that waits out its deadline;
 * :meth:`PersistentWorkerPool.shutdown` grows a ``force`` mode
   (``terminate()``) for pools wedged by hung workers, and
   :func:`respawn_pool` replaces the shared pool with a fresh one
@@ -49,7 +52,8 @@ import multiprocessing
 import threading
 import time
 from multiprocessing import resource_tracker
-from typing import Any, Callable, Iterable, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.trace.recorder import emit as trace_emit
 
@@ -72,19 +76,23 @@ class PoolClosedError(RuntimeError):
     """
 
 
-# the queue pool *children* inherit at fork; set immediately before the
-# fork so each pool generation gets its own channel (see resilient_entry
-# in repro.resilience.inject)
+# the heartbeat queue of the pool this process works for; set in each
+# pool child by the pool's initializer (see resilient_entry in
+# repro.resilience.inject)
 _child_heartbeats = None
 
 
-def child_heartbeat_queue():
-    """The heartbeat queue of the pool this process was forked into.
+def _join_heartbeats(queue) -> None:
+    """Pool initializer: every worker of a pool — the first ones and
+    those repopulated after a crash, whatever pool the master created
+    in between — reports on that pool's own queue."""
+    global _child_heartbeats
+    _child_heartbeats = queue
 
-    In the master process this is the queue of the most recently created
-    pool; in a pool child it is the queue inherited at fork time.
-    Returns ``None`` when no pool has ever been created.
-    """
+
+def child_heartbeat_queue():
+    """The heartbeat queue of the pool this process is a worker of;
+    ``None`` outside a pool worker."""
     return _child_heartbeats
 
 
@@ -99,7 +107,6 @@ class PersistentWorkerPool:
     """A fork pool that outlives individual job batches."""
 
     def __init__(self, processes: int) -> None:
-        global _child_heartbeats
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         started = time.perf_counter()
@@ -112,25 +119,21 @@ class PersistentWorkerPool:
         # child trackers that would report phantom leaks at exit
         resource_tracker.ensure_running()
         context = multiprocessing.get_context("fork")
-        # created before the fork so pool children inherit it; workers
-        # report ("phase", (l, m), attempt, pid) tuples here
+        # workers report ("phase", (l, m), attempt, pid) tuples here
         self._heartbeats = context.SimpleQueue()
-        _child_heartbeats = self._heartbeats
-        self._pool = context.Pool(processes)
-        self._known_pids: set[int] = {
-            proc.pid for proc in self._pool._pool  # type: ignore[attr-defined]
-        }
+        self._pool = context.Pool(
+            processes, initializer=_join_heartbeats, initargs=(self._heartbeats,)
+        )
         self.cold_start_seconds = time.perf_counter() - started
-        for pid in sorted(self._known_pids):
+        self.jobs_dispatched = 0
+        self.closed = False
+        for pid in sorted(self.worker_pids()):
             trace_emit(
                 "worker_spawn",
                 worker=pid,
                 processes=processes,
                 generation=self.generation,
             )
-        self.jobs_dispatched = 0
-        self.batches_dispatched = 0
-        self.closed = False
 
     # ------------------------------------------------------------------
     # dispatch
@@ -143,39 +146,29 @@ class PersistentWorkerPool:
             handle = self._pool.apply_async(fn, args)
         return handle.get()
 
-    def submit(self, fn: Callable, item: Any):
+    def submit(
+        self,
+        fn: Callable,
+        item: Any,
+        *,
+        callback: Optional[Callable[[bool, Any], None]] = None,
+    ):
         """One asynchronous job; returns the ``AsyncResult`` handle.
 
-        The fault-tolerant dispatch loop submits every job this way so
-        it can poll readiness, enforce per-job deadlines and re-dispatch
-        individual lost jobs.
+        ``callback(ok, value)`` runs on the pool's result thread when
+        the job returns (``ok=True``, its result) or raises
+        (``ok=False``, the exception) — the job ledger's transport uses
+        it to wake its selector.
         """
+        on_ok = on_error = None
+        if callback is not None:
+            on_ok, on_error = partial(callback, True), partial(callback, False)
         with self._lock:
             self._require_open()
             self.jobs_dispatched += 1
-            return self._pool.apply_async(fn, (item,))
-
-    def map_static(self, fn: Callable, items: list) -> list:
-        """``pool.map`` with its default static chunking (the seed
-        dispatch policy, kept for measurement)."""
-        with self._lock:
-            self._require_open()
-            self.jobs_dispatched += len(items)
-            self.batches_dispatched += 1
-            handle = self._pool.map_async(fn, items)
-        return handle.get()
-
-    def imap_unordered(
-        self, fn: Callable, items: Iterable, *, chunksize: int = 1
-    ) -> Iterable:
-        """Greedy single-job dispatch: each free worker pulls the next
-        item, so a longest-first ordering becomes LPT scheduling."""
-        with self._lock:
-            self._require_open()
-            items = list(items)
-            self.jobs_dispatched += len(items)
-            self.batches_dispatched += 1
-            return self._pool.imap_unordered(fn, items, chunksize)
+            return self._pool.apply_async(
+                fn, (item,), callback=on_ok, error_callback=on_error
+            )
 
     # ------------------------------------------------------------------
     # observability: heartbeats and process liveness
@@ -187,47 +180,27 @@ class PersistentWorkerPool:
             beats.append(self._heartbeats.get())
         return beats
 
-    def worker_pids(self) -> set[int]:
-        """PIDs of the pool's current worker processes."""
-        with self._lock:
-            if self.closed:
-                return set()
-            return {
-                proc.pid
-                for proc in list(self._pool._pool)  # type: ignore[attr-defined]
-            }
+    def heartbeat_fileno(self) -> int:
+        """The heartbeat pipe's read end, for a selector."""
+        return self._heartbeats._reader.fileno()  # type: ignore[attr-defined]
 
-    def reap_dead_workers(self) -> set[int]:
-        """PIDs that died since the last check.
+    def worker_processes(self) -> list:
+        """The pool's current worker ``Process`` objects.
 
         ``multiprocessing.Pool`` quietly repopulates a crashed worker,
-        but the job it was running is lost forever — its ``AsyncResult``
-        never completes.  Comparing the previously seen PID set against
-        the currently *alive* one surfaces exactly those deaths, so the
-        master can re-dispatch the lost job immediately.
+        but the job it was running is lost forever — its
+        ``AsyncResult`` never completes.  Each process's ``sentinel``
+        turns readable when it exits, which is how the master hears of
+        a death at once; holding the object keeps that fd open.
         """
         with self._lock:
             if self.closed:
-                return set()
-            alive = {
-                proc.pid
-                for proc in list(self._pool._pool)  # type: ignore[attr-defined]
-                if proc.is_alive()
-            }
-            dead = self._known_pids - alive
-            self._known_pids = alive | (self._known_pids - dead)
-            # repopulated replacements join the watch set
-            current = {
-                proc.pid
-                for proc in list(self._pool._pool)  # type: ignore[attr-defined]
-            }
-            fresh = current - self._known_pids
-            self._known_pids |= current
-            for pid in sorted(dead):
-                trace_emit("death_worker", worker=pid, detected_by="liveness")
-            for pid in sorted(fresh):
-                trace_emit("worker_spawn", worker=pid, repopulated=True)
-            return dead
+                return []
+            return list(self._pool._pool)  # type: ignore[attr-defined]
+
+    def worker_pids(self) -> set[int]:
+        """PIDs of the pool's current worker processes."""
+        return {proc.pid for proc in self.worker_processes()}
 
     def discard(self, handle) -> None:
         """Forget a lost job's ``AsyncResult``.

@@ -39,9 +39,7 @@ __all__ = [
     "SubsolveJobSpec",
     "SubsolvePayload",
     "execute_job",
-    "execute_job_uncached",
     "ship_payload",
-    "shm_entry",
     "ComputeEngine",
     "InlineEngine",
     "ProcessPoolEngine",
@@ -239,14 +237,6 @@ def execute_job(spec: SubsolveJobSpec, *, use_cache: bool = True) -> SubsolvePay
     )
 
 
-def execute_job_uncached(spec: SubsolveJobSpec) -> SubsolvePayload:
-    """The cold path: no operator or factor reuse (for measurement).
-
-    Top-level so multiprocessing can pickle it by reference.
-    """
-    return execute_job(spec, use_cache=False)
-
-
 #: placeholder solution of a payload whose data went through shm
 _SHIPPED = np.empty((0, 0))
 
@@ -276,19 +266,6 @@ def ship_payload(payload: SubsolvePayload, lease) -> SubsolvePayload:
         descriptor=descriptor,
         shm_write_seconds=time.perf_counter() - t_write,
     )
-
-
-def shm_entry(item: tuple) -> SubsolvePayload:
-    """Pool entry point for the shm data plane (no fault machinery).
-
-    ``item`` is ``(spec, lease, use_cache)``; top-level so
-    multiprocessing pickles it by reference.  The resilient dispatch
-    loop has its own entry point
-    (:func:`repro.resilience.inject.resilient_entry`), which ships
-    through the lease the same way.
-    """
-    spec, lease, use_cache = item
-    return ship_payload(execute_job(spec, use_cache=use_cache), lease)
 
 
 class ComputeEngine:

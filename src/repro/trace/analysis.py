@@ -206,8 +206,8 @@ class TraceAnalysis:
     def retry_backoff_seconds(self) -> float:
         """Total retry backoff the run waited through.
 
-        On the reactor engine this is *parked* time, not stalled time:
-        the faulted grid sits on a timer while every healthy link keeps
+        This is *parked* time, not stalled time: the job ledger holds
+        the faulted grid on a timer while every healthy worker keeps
         completing, so none of it is attributable to other workers.
         """
         return sum(

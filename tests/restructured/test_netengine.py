@@ -32,11 +32,11 @@ from repro.restructured.netengine import (
     HostSpec,
     _DaemonLink,
     _FrameDecoder,
-    _TimerWheel,
     arm_heartbeat_deadline,
     recv_frame,
     send_frame,
 )
+from repro.restructured.ledger import TimerWheel
 from repro.trace import TraceAnalysis, TraceRecorder
 
 LEVEL = 2
@@ -227,7 +227,7 @@ class TestFrameDecoder:
 class TestTimerWheel:
     def test_fires_in_due_order_under_injected_clock(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         fired = []
         wheel.schedule(2.0, lambda: fired.append("late"))
         wheel.schedule(1.0, lambda: fired.append("early"))
@@ -244,7 +244,7 @@ class TestTimerWheel:
 
     def test_equal_deadlines_fire_in_schedule_order(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         fired = []
         for name in ("a", "b", "c"):
             wheel.schedule(1.0, lambda name=name: fired.append(name))
@@ -267,7 +267,7 @@ class TestHeartbeatDeadline:
 
     def test_convicts_silent_link_with_jobs_in_flight(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
         link.inflight[(2, 0)] = object()
         convicted = []
@@ -278,7 +278,7 @@ class TestHeartbeatDeadline:
 
     def test_frames_postpone_the_deadline(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
         link.inflight[(2, 0)] = object()
         convicted = []
@@ -296,7 +296,7 @@ class TestHeartbeatDeadline:
 
     def test_idle_silence_is_not_a_hang(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)  # nothing in flight: owes no result
         convicted = []
         arm_heartbeat_deadline(wheel, link, 1.0, convicted.append)
@@ -307,7 +307,7 @@ class TestHeartbeatDeadline:
 
     def test_stale_epoch_watch_is_void(self):
         clock = {"t": 0.0}
-        wheel = _TimerWheel(clock=lambda: clock["t"])
+        wheel = TimerWheel(clock=lambda: clock["t"])
         link = self._link(clock)
         link.inflight[(2, 0)] = object()
         convicted = []
@@ -319,43 +319,57 @@ class TestHeartbeatDeadline:
         assert len(wheel) == 0  # and it does not re-arm
 
 
+def _sleep_sites(module) -> list[tuple[str, ...]]:
+    """The enclosing class path of every ``time.sleep`` call in a module."""
+    import ast
+    import inspect
+
+    sleeps = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.stack = []
+
+        def visit_ClassDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == "sleep"
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "time"
+            ):
+                sleeps.append(tuple(self.stack))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(inspect.getsource(module)))
+    return sleeps
+
+
 class TestReactorInvariants:
     def test_no_sleep_outside_worker_daemon(self):
         """The dispatch loop never sleeps: every ``time.sleep`` in the
         module belongs to the daemon side (fault injection and drain),
         none to the master's reactor."""
-        import ast
-        import inspect
-
         from repro.restructured import netengine
 
-        sleeps = []
-
-        class Visitor(ast.NodeVisitor):
-            def __init__(self):
-                self.stack = []
-
-            def visit_ClassDef(self, node):
-                self.stack.append(node.name)
-                self.generic_visit(node)
-                self.stack.pop()
-
-            def visit_Call(self, node):
-                f = node.func
-                if (
-                    isinstance(f, ast.Attribute)
-                    and f.attr == "sleep"
-                    and isinstance(f.value, ast.Name)
-                    and f.value.id == "time"
-                ):
-                    sleeps.append(tuple(self.stack))
-                self.generic_visit(node)
-
-        Visitor().visit(ast.parse(inspect.getsource(netengine)))
+        sleeps = _sleep_sites(netengine)
         assert sleeps, "expected the daemon's fault-injection sleeps"
         assert all(s and s[0] == "WorkerDaemon" for s in sleeps), (
             f"time.sleep outside WorkerDaemon: {sleeps}"
         )
+
+    def test_no_sleep_in_the_ledger_or_the_pool_master(self):
+        """Neither the job ledger nor the fork-pool transport sleeps:
+        retry backoff and deadlines are timers, waits are ``select``."""
+        from repro.restructured import ledger, parallel
+
+        assert _sleep_sites(ledger) == []
+        assert _sleep_sites(parallel) == []
 
     def test_master_adds_no_threads(self, pickle_combined):
         """One selector, zero reader threads: a socket run leaves the
@@ -431,19 +445,6 @@ class TestSocketRun:
 
 
 class TestTaskEngineRun:
-    def test_bitwise_identical_to_pool(self, pickle_combined):
-        result = _run(engine="task")
-        assert result.engine == "task"
-        assert np.array_equal(result.combined, pickle_combined)
-
-    def test_task_engine_rejects_faults(self):
-        with pytest.raises(ValueError, match="engine='task'"):
-            _run(engine="task", faults="crash@2,0")
-
-    def test_task_engine_rejects_shm(self):
-        with pytest.raises(ValueError, match="engine='task'"):
-            _run(engine="task", data_plane="shm")
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             _run(engine="mpi")

@@ -82,18 +82,6 @@ class TestCommands:
         assert "run 1 (cold)" in out
         assert "pool: cold" in out
 
-    def test_run_parallel_static_dispatch(self, capsys):
-        from repro.restructured import shutdown_pool
-
-        shutdown_pool()
-        try:
-            assert main([
-                "run-parallel", "--level", "1", "--dispatch", "static"
-            ]) == 0
-            assert "dispatch: static" in capsys.readouterr().out
-        finally:
-            shutdown_pool()
-
     def test_calibrate_writes_model(self, tmp_path, capsys, monkeypatch):
         # This test covers the CLI glue (argument plumbing, JSON output),
         # not the measurement itself: real timings under background load
