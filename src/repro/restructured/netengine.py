@@ -11,6 +11,15 @@ pattern attributes, reachable by address exactly like a CONFIG
 the MANIFOLD master: it spawns or connects to daemons, ships job specs,
 and collects results — every byte crossing a real socket.
 
+Spawning a loopback daemon is a fork, not an interpreter boot: the
+master binds the daemon's listening socket itself and hands it to the
+zygote of :mod:`repro.restructured.pool`, one preloaded interpreter
+that forks a :class:`WorkerDaemon` serving that socket and answers with
+its pidfd.  The port is known before the fork, so no handshake is
+awaited, and init-time and revive-time spawns are one call.  Each
+engine still gets fresh daemons and :meth:`SocketTaskEngine.close`
+still kills them.
+
 Master threading model: **one thread, one selector**.  The master owns
 every daemon socket through a single :class:`selectors.DefaultSelector`
 reactor — non-blocking sockets with a stateful per-link
@@ -37,7 +46,7 @@ Failure model — composing with the resilience ladder of
 
 * a **dropped connection** (daemon killed, network reset, truncated
   frame) convicts every job in flight on that daemon as a ``crash``
-  fault; the master reconnects (re-spawning a local daemon, or
+  fault; the master reconnects (forking a fresh local daemon, or
   re-dialing a remote one) with timer-driven exponential backoff,
   recorded as a ``reconnect`` trace event;
 * a **silent daemon** — no frame within ``heartbeat_timeout`` — is a
@@ -76,7 +85,6 @@ import pickle
 import selectors
 import socket
 import struct
-import subprocess
 import sys
 import threading
 import time
@@ -85,6 +93,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ledger import _DEADLINE_GRACE, Attempt, JobLedger, LedgerOutcome, TimerWheel
+from .pool import DaemonProcess, spawn_daemon
 from .taskengine import TaskInstanceDied, TaskInstanceEngine
 from .worker import SubsolveJobSpec, SubsolvePayload, ship_payload
 
@@ -380,7 +389,10 @@ class WorkerDaemon:
     master finds it again.  A ``stop`` frame is a *clean* shutdown:
     in-flight jobs get ``drain_timeout`` seconds to finish and send
     their results before the connection closes, instead of being
-    silently dropped mid-compute.
+    silently dropped mid-compute.  ``listener`` serves an already
+    listening socket instead of binding ``host:port``: that is how a
+    zygote-forked daemon gets the port its master bound and already
+    knows.
 
     Fault injection happens *here*, where the paper's faults happen —
     on the worker machine: a matched ``crash`` rule kills the whole
@@ -394,6 +406,7 @@ class WorkerDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
+        listener: Optional[socket.socket] = None,
         capacity: int = 1,
         perpetual: bool = True,
         heartbeat_interval: float = 0.5,
@@ -404,7 +417,7 @@ class WorkerDaemon:
         self.capacity = capacity
         self.heartbeat_interval = heartbeat_interval
         self.drain_timeout = drain_timeout
-        self._listener = socket.create_server((host, port))
+        self._listener = listener or socket.create_server((host, port))
         self.address = self._listener.getsockname()[:2]
         self._engine = TaskInstanceEngine(
             perpetual=perpetual, max_instances=capacity
@@ -424,7 +437,8 @@ class WorkerDaemon:
         return self.address[1]
 
     def announce(self, stream=None) -> None:
-        """Print the spawner handshake line (``LISTENING <port>``)."""
+        """Print ``LISTENING <port>`` for whoever started a standalone
+        daemon (``repro worker-daemon --port 0``)."""
         print(f"LISTENING {self.port}", file=stream or sys.stdout, flush=True)
 
     def stop(self) -> None:
@@ -650,7 +664,7 @@ class _DaemonLink:
         self.shm_ok = spawned           # host-local => lease-capable
         self.address = address          # dial target for connect mode
         self.sock: Optional[socket.socket] = None
-        self.proc: Optional[subprocess.Popen] = None
+        self.daemon: Optional[DaemonProcess] = None
         self.capacity = 0               # learned from the hello frame
         self.pid: Optional[int] = None
         self.inflight: dict[tuple[int, int], Attempt] = {}
@@ -672,9 +686,6 @@ class _DaemonLink:
         #: bumped per revive attempt and on attach/detach; a timer fired
         #: for a stale token is a no-op (timers are never cancelled)
         self.revive_token = 0
-        self.spawn_fd: Optional[int] = None
-        self.spawn_buf = b""
-        self.spawn_tail: deque = deque(maxlen=8)
 
     @property
     def free_slots(self) -> int:
@@ -736,31 +747,15 @@ class SocketTaskEngine:
         self.links: list[_DaemonLink] = []
         t0 = time.perf_counter()
         try:
-            index = 0
             for spec in self.host_specs:
-                if spec.local:
-                    for _ in range(spec.spawn):
-                        link = _DaemonLink(f"daemon-{index}", spawned=True)
-                        # launch first, handshake below: the daemons
-                        # boot concurrently, so spawning 32 links costs
-                        # one import wave, not 32 sequential ones
-                        link.proc = self._launch()
-                        self.links.append(link)
-                        index += 1
-                else:
+                for _ in range(spec.spawn or 1):
                     link = _DaemonLink(
-                        f"daemon-{index}",
-                        spawned=False,
-                        address=(spec.host, spec.port),
+                        f"daemon-{len(self.links)}",
+                        spawned=spec.local,
+                        address=None if spec.local else (spec.host, spec.port),
                     )
                     self.links.append(link)
-                    index += 1
-            for link in self.links:
-                if link.spawned:
-                    port = self._await_listening(link)
-                    self._attach(link, ("127.0.0.1", port))
-                else:
-                    self._attach(link, link.address)
+                    self._adopt(link, self._connect(link))
         except Exception:
             self.close()
             raise
@@ -769,46 +764,27 @@ class SocketTaskEngine:
     # ------------------------------------------------------------------
     # link lifecycle
     # ------------------------------------------------------------------
-    def _launch(self) -> subprocess.Popen:
-        """Fork one loopback daemon; returns before it announces."""
-        cmd = [
-            sys.executable, "-m", "repro", "worker-daemon",
-            "--port", "0",
-            "--capacity", "1",
-            "--heartbeat-interval", str(self.daemon_heartbeat_interval),
-        ]
-        return subprocess.Popen(
-            cmd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
+    def _connect(self, link: _DaemonLink, trace=None) -> socket.socket:
+        """A blocking connection to the link's daemon; a spawned link
+        first gets a fresh daemon forked from the zygote.
 
-    def _await_listening(self, link: _DaemonLink) -> int:
-        """Block until the spawned daemon announces its port (init-time
-        only; revive-time spawns handshake through the selector)."""
-        proc = link.proc
-        tail: deque[str] = deque(maxlen=8)
-        while True:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            text = line.decode(errors="replace").rstrip()
-            tail.append(text)
-            if text.startswith("LISTENING "):
-                return int(text.split()[1])
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-            proc.kill()
-            proc.wait(timeout=5.0)
-        raise RuntimeError(
-            f"{link.name} failed to start: " + " | ".join(tail)
-        )
-
-    def _attach(self, link: _DaemonLink, address: tuple[str, int]) -> None:
-        """Connect (blocking; init-time only) and adopt the socket."""
-        sock = socket.create_connection(address, timeout=self.connect_timeout)
-        self._adopt(link, sock)
+        The listener is bound here and handed to the daemon, so the
+        port is known before the fork, the connection completes in the
+        listen backlog at once, and a daemon that dies before accepting
+        resets it — the ordinary connection-loss path.
+        """
+        if not link.spawned:
+            return socket.create_connection(link.address, timeout=self.connect_timeout)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            link.daemon = spawn_daemon(
+                listener,
+                {"capacity": 1, "heartbeat_interval": self.daemon_heartbeat_interval},
+                timeout=self.connect_timeout,
+                trace=trace if trace is not None else self.trace,
+            )
+            return socket.create_connection(
+                listener.getsockname()[:2], timeout=self.connect_timeout
+            )
 
     def _adopt(self, link: _DaemonLink, sock: socket.socket) -> None:
         """Take a connected socket as the link's live connection: make
@@ -851,7 +827,7 @@ class SocketTaskEngine:
         self._release(link)
 
     def _release(self, link: _DaemonLink) -> None:
-        """Close the link's socket and spawn pipe, kill its daemon."""
+        """Close the link's socket, kill its spawned daemon."""
         if link.sock is not None:
             self._unregister(link.sock)
             # shutdown before close: deterministically sends the FIN/RST
@@ -867,20 +843,9 @@ class SocketTaskEngine:
             except OSError:  # pragma: no cover - defensive
                 pass
             link.sock = None
-        if link.spawn_fd is not None:
-            self._unregister(link.spawn_fd)
-            link.spawn_fd = None
-            link.spawn_buf = b""
-        if link.proc is not None:
-            if link.proc.poll() is None:
-                link.proc.kill()
-            try:
-                link.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
-            if link.proc.stdout is not None:
-                link.proc.stdout.close()
-            link.proc = None
+        if link.daemon is not None:
+            link.daemon.kill()
+            link.daemon = None
 
     @property
     def total_capacity(self) -> int:
@@ -1099,24 +1064,18 @@ class SocketTaskEngine:
         def begin_revive(link: _DaemonLink, token: int) -> None:
             if link.revive_token != token or not link.reviving or self._closed:
                 return
-            if link.spawned:
-                try:
-                    link.proc = self._launch()
-                except OSError:
-                    self._release(link)
-                    schedule_revive(link, link.revive_reason)
-                    return
-                fd = link.proc.stdout.fileno()
-                os.set_blocking(fd, False)
-                link.spawn_fd = fd
-                link.spawn_buf = b""
-                link.spawn_tail.clear()
-                self._register(fd, selectors.EVENT_READ, ("spawn", link))
-                timers.schedule(
-                    self.connect_timeout, lambda: revive_timed_out(link, token)
-                )
-            else:
+            if not link.spawned:
                 begin_connect(link, link.address, token)
+                return
+            # a zygote fork takes milliseconds and the connection lands
+            # in the listen backlog at once: no need to wait in select
+            try:
+                sock = self._connect(link, trace)
+            except OSError:
+                self._release(link)
+                schedule_revive(link, link.revive_reason)
+                return
+            finish_revive(link, sock)
 
         def begin_connect(
             link: _DaemonLink, address: tuple[str, int], token: int
@@ -1143,37 +1102,6 @@ class SocketTaskEngine:
                 return
             self._release(link)
             schedule_revive(link, link.revive_reason)
-
-        def on_spawn_output(link: _DaemonLink) -> None:
-            """Collect the reviving daemon's stdout until it announces
-            its port (the async version of _await_listening)."""
-            if link.spawn_fd is None or not link.reviving:
-                return
-            try:
-                chunk = os.read(link.spawn_fd, 4096)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                chunk = b""
-            if not chunk:
-                # EOF before LISTENING: the daemon died on startup
-                self._release(link)
-                schedule_revive(link, link.revive_reason)
-                return
-            link.spawn_buf += chunk
-            while b"\n" in link.spawn_buf:
-                line, _, link.spawn_buf = link.spawn_buf.partition(b"\n")
-                text = line.decode(errors="replace").rstrip()
-                link.spawn_tail.append(text)
-                if text.startswith("LISTENING "):
-                    self._unregister(link.spawn_fd)
-                    link.spawn_fd = None
-                    begin_connect(
-                        link,
-                        ("127.0.0.1", int(text.split()[1])),
-                        link.revive_token,
-                    )
-                    return
 
         def on_connect_ready(link: _DaemonLink) -> None:
             sock = link.sock
@@ -1246,8 +1174,12 @@ class SocketTaskEngine:
                 link.capacity = int(data["capacity"])
                 link.pid = data.get("pid")
                 if trace is not None:
+                    # a spawned daemon's cost: fork request to hello
+                    spawn = {} if link.daemon is None else {
+                        "seconds": time.perf_counter() - link.daemon.requested_at
+                    }
                     trace.record(
-                        "worker_spawn", worker=link.name, pid=link.pid
+                        "worker_spawn", worker=link.name, pid=link.pid, **spawn
                     )
                 return
             if kind == "heartbeat":
@@ -1348,8 +1280,6 @@ class SocketTaskEngine:
                     on_io(link, mask)
                 elif tag == "connect":
                     on_connect_ready(link)
-                elif tag == "spawn":
-                    on_spawn_output(link)
             timers.fire_due()
 
         return NetOutcome(

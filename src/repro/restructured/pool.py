@@ -42,6 +42,15 @@ job ledger's fork-pool transport (:mod:`repro.restructured.parallel`):
 
 Cold-start cost is recorded so the warm-path observability layer can
 report cold-vs-warm pool timings.
+
+The pool's sibling is the **zygote** (:func:`spawn_daemon`): one fresh
+interpreter that has imported the socket engine's daemon side (numpy,
+``scipy.sparse.linalg``, the solver), starts no threads, and forks one
+:class:`~repro.restructured.netengine.WorkerDaemon` per request — so a
+loopback daemon costs a fork, not an interpreter boot.  It boots on the
+first request, lives as long as the shared pool's process-wide state
+(:func:`shutdown_pool` and the ``atexit`` hook stop it), and exits on
+its own when the master process dies.
 """
 
 from __future__ import annotations
@@ -49,8 +58,16 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
+import os
+import pickle
+import select
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+import traceback
 from multiprocessing import resource_tracker
 from functools import partial
 from typing import Any, Callable, Optional
@@ -65,6 +82,8 @@ __all__ = [
     "respawn_pool",
     "pool_diagnostics",
     "child_heartbeat_queue",
+    "DaemonProcess",
+    "spawn_daemon",
 ]
 
 
@@ -286,12 +305,17 @@ def acquire_pool(processes: Optional[int] = None) -> tuple[PersistentWorkerPool,
 
 
 def shutdown_pool() -> None:
-    """Gracefully wind down the shared pool (drain, join, forget)."""
-    global _shared
+    """Gracefully wind down the shared pool (drain, join, forget) and
+    stop the zygote, which kills any daemon it forked that still runs."""
+    global _shared, _zygote
     with _shared_lock:
         pool, _shared = _shared, None
     if pool is not None:
         pool.shutdown()
+    with _zygote_lock:
+        zygote, _zygote = _zygote, None
+    if zygote is not None:
+        zygote.stop()
 
 
 def respawn_pool(processes: Optional[int] = None) -> PersistentWorkerPool:
@@ -329,6 +353,198 @@ def pool_diagnostics() -> dict[str, float]:
             _shared.cold_start_seconds if _shared is not None else 0.0
         ),
     }
+
+
+# ----------------------------------------------------------------------
+# the zygote: loopback worker daemons forked from a preloaded interpreter
+# ----------------------------------------------------------------------
+#: what the zygote interpreter runs; argv carries its end of the control
+#: socket and the PID of the master it serves
+_ZYGOTE_MAIN = "from repro.restructured.pool import zygote_main; zygote_main()"
+
+
+class DaemonProcess:
+    """A zygote-forked daemon as its master holds it.
+
+    The daemon is the zygote's child, not the master's, so the master
+    holds a pidfd instead: the kill and the wait go through it and can
+    never reach a recycled PID.
+    """
+
+    def __init__(self, pidfd: int, requested_at: float) -> None:
+        self.pidfd = pidfd
+        #: ``perf_counter()`` when the fork was requested
+        self.requested_at = requested_at
+
+    def kill(self, timeout: float = 5.0) -> None:
+        """SIGKILL the daemon, wait until it has exited, drop the pidfd."""
+        try:
+            signal.pidfd_send_signal(self.pidfd, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # already gone
+        poller = select.poll()
+        poller.register(self.pidfd, select.POLLIN)
+        poller.poll(timeout * 1000.0)
+        os.close(self.pidfd)
+
+
+class _Zygote:
+    """The master's handle on the zygote: its process and the
+    ``SOCK_SEQPACKET`` control socket requests and pidfds cross."""
+
+    def __init__(self, timeout: float) -> None:
+        started = time.perf_counter()
+        self.ctrl, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _ZYGOTE_MAIN, str(theirs.fileno()), str(os.getpid())],
+                pass_fds=(theirs.fileno(),),
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+            )
+        self.ctrl.settimeout(timeout)
+        try:
+            if self.ctrl.recv(16) != b"ready":
+                raise ConnectionError("the zygote exited while booting")
+        except OSError:
+            self.stop()
+            raise
+        self.boot_seconds = time.perf_counter() - started
+
+    def fork(self, listener: socket.socket, config: dict, timeout: float) -> DaemonProcess:
+        """One daemon serving on ``listener``: a fork in the zygote."""
+        self.ctrl.settimeout(timeout)
+        requested = time.perf_counter()
+        socket.send_fds(self.ctrl, [pickle.dumps(config)], [listener.fileno()])
+        _, fds, _, _ = socket.recv_fds(self.ctrl, 64, 1)
+        if not fds:
+            raise ConnectionError("the zygote closed its control socket")
+        return DaemonProcess(fds[0], requested)
+
+    def stop(self) -> None:
+        """Make the zygote exit (it kills the daemons it still has) and
+        reap it."""
+        try:
+            # shutdown, not just close: pool workers forked since the
+            # boot hold copies of this fd, so only a shutdown reaches
+            # the zygote as EOF
+            self.ctrl.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.ctrl.close()
+        try:
+            self.proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+_zygote: Optional[_Zygote] = None
+_zygote_lock = threading.Lock()
+
+
+def spawn_daemon(
+    listener: socket.socket, config: dict, *, timeout: float, trace=None
+) -> DaemonProcess:
+    """Fork one ``WorkerDaemon(listener=listener, **config)`` from the
+    shared zygote.
+
+    The first call boots the zygote.  A zygote found dead, or lost in
+    the middle of the request, is replaced by a fresh boot and the fork
+    retried once — a lost zygote costs one cold boot.  Every boot is a
+    ``zygote_boot`` trace event with its reason and seconds.
+    """
+    global _zygote
+    with _zygote_lock:
+        reason = "cold"
+        if _zygote is not None:
+            code = _zygote.proc.poll()
+            if code is None:
+                try:
+                    return _zygote.fork(listener, config, timeout)
+                except OSError as exc:
+                    reason = f"lost: {exc!r}"
+            else:
+                reason = f"lost: exit code {code}"
+            _zygote.stop()
+            _zygote = None
+        _zygote = _Zygote(timeout)
+        record = trace.record if trace is not None else trace_emit
+        record(
+            "zygote_boot",
+            worker=_zygote.proc.pid,
+            reason=reason,
+            seconds=_zygote.boot_seconds,
+        )
+        return _zygote.fork(listener, config, timeout)
+
+
+def zygote_main() -> None:
+    """The zygote interpreter: import the daemon side once, then fork a
+    daemon per request until the master stops it or dies.
+
+    The zygote reaps its own children through their pidfds and kills
+    the ones still running when it exits.  It watches the master's
+    pidfd too: EOF on the control socket alone cannot signal the
+    master's death while forked pool workers hold copies of its end.
+    """
+    ctrl = socket.socket(fileno=int(sys.argv[1]))
+    master_pid = int(sys.argv[2])
+    try:
+        master = os.pidfd_open(master_pid)
+    except ProcessLookupError:
+        return
+    if os.getppid() != master_pid:
+        return  # the master died before it could be watched
+    # a Ctrl-C reaches the whole process group; the master decides
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # the preload: numpy, scipy.sparse.linalg and the solver
+    from .netengine import WorkerDaemon
+
+    ctrl.sendall(b"ready")
+    children: dict[int, int] = {}  # pidfd -> pid
+    try:
+        while True:
+            ready, _, _ = select.select([ctrl, master, *children], [], [])
+            if master in ready:
+                return
+            for pidfd in [fd for fd in ready if fd in children]:
+                os.waitpid(children.pop(pidfd), 0)
+                os.close(pidfd)
+            if ctrl not in ready:
+                continue
+            request, fds, _, _ = socket.recv_fds(ctrl, 4096, 1)
+            if not request:
+                return
+            (listener_fd,) = fds
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.default_int_handler)
+                    ctrl.close()
+                    for fd in (master, *children):
+                        os.close(fd)
+                    listener = socket.socket(fileno=listener_fd)
+                    WorkerDaemon(listener=listener, **pickle.loads(request)).serve_forever()
+                    code = 0
+                except Exception:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            os.close(listener_fd)
+            pidfd = os.pidfd_open(pid)
+            children[pidfd] = pid
+            socket.send_fds(ctrl, [b"forked"], [pidfd])
+    except OSError:
+        pass  # the master went away mid-reply
+    finally:
+        for pidfd, pid in children.items():
+            try:
+                signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
 
 
 atexit.register(shutdown_pool)

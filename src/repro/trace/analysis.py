@@ -330,6 +330,17 @@ class TraceAnalysis:
         """Connections re-established after a drop or daemon death."""
         return sum(1 for e in self.events if e.kind == "reconnect")
 
+    @property
+    def daemon_spawn_seconds(self) -> float:
+        """Fork-request-to-hello seconds of every spawned daemon, summed
+        (daemons come up concurrently, so this can exceed the wall)."""
+        return self._data_seconds("worker_spawn")
+
+    @property
+    def zygote_boot_seconds(self) -> float:
+        """Seconds spent booting the daemons' zygote interpreter."""
+        return self._data_seconds("zygote_boot")
+
     # ------------------------------------------------------------------
     # split efficiency (intra-grid strip substructuring)
     # ------------------------------------------------------------------
@@ -496,6 +507,12 @@ class TraceAnalysis:
                 f"({self.net_send_seconds:.3f}s send + "
                 f"{self.net_recv_seconds:.3f}s recv), "
                 f"{self.n_reconnects} reconnect(s)"
+            )
+            n_boots = sum(1 for e in self.events if e.kind == "zygote_boot")
+            lines.append(
+                f"  daemon spawn: {self.daemon_spawn_seconds:.3f}s fork to "
+                f"hello, summed; {n_boots} zygote boot(s) "
+                f"{self.zygote_boot_seconds:.3f}s"
             )
         if self.n_halo_exchanges or self.n_schur_solves:
             lines.append(

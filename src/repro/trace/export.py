@@ -104,7 +104,7 @@ def write_chrome_trace(events: Sequence[TraceEvent], path: PathLike) -> int:
         )
     instant_kinds = {
         "fault", "retry", "respawn", "fallback",
-        "worker_spawn", "death_worker", "rendezvous",
+        "worker_spawn", "death_worker", "zygote_boot", "rendezvous",
         "cache_hit", "cache_miss",
     }
     for event in analysis.events:

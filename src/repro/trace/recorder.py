@@ -64,6 +64,7 @@ EVENT_KINDS = (
     # substrate lifecycle
     "worker_spawn",
     "death_worker",
+    "zygote_boot",
     # MANIFOLD coordination
     "rendezvous",
     "manifold_event",

@@ -10,11 +10,16 @@ and every recovery is visible in both the FaultReport and the trace.
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+import uuid
 import warnings
 
 import numpy as np
@@ -23,6 +28,7 @@ import pytest
 from repro.restructured import (
     WorkerDaemon,
     parse_hosts,
+    pool,
     run_multiprocessing,
     shutdown_pool,
 )
@@ -30,6 +36,7 @@ from repro.restructured.netengine import (
     _DEADLINE_GRACE,
     FrameError,
     HostSpec,
+    SocketTaskEngine,
     _DaemonLink,
     _FrameDecoder,
     arm_heartbeat_deadline,
@@ -444,6 +451,155 @@ class TestSocketRun:
         assert result.data_plane_audit.leaked == 0
 
 
+# ----------------------------------------------------------------------
+# the zygote: daemons forked from one preloaded interpreter
+# ----------------------------------------------------------------------
+def _zygote_boots(recorder) -> list:
+    return [e for e in recorder.events() if e.kind == "zygote_boot"]
+
+
+def _kill_zygote() -> None:
+    """SIGKILL the shared zygote and wait until it is gone: it gets no
+    chance to kill the daemons it forked or to say goodbye."""
+    zygote = pool._zygote
+    assert zygote is not None and zygote.proc.poll() is None
+    os.kill(zygote.proc.pid, signal.SIGKILL)
+    zygote.proc.wait(timeout=10.0)
+
+
+def _marked_processes(mark: str) -> list[int]:
+    """Live (non-zombie) processes whose environment carries ``mark``:
+    every descendant of an interpreter started with it, orphaned or not."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+            with open(f"/proc/{entry}/environ", "rb") as fh:
+                environ = fh.read()
+        except OSError:
+            continue
+        if state != "Z" and mark.encode() in environ:
+            found.append(int(entry))
+    return found
+
+
+class TestZygote:
+    def test_boots_once_across_three_runs(self, pickle_combined):
+        """The zygote is booted by the first spawned daemon and forks
+        every later one: three socket runs, one boot."""
+        boots = []
+        for _ in range(3):
+            recorder = TraceRecorder()
+            result = _run(engine="socket", trace=recorder)
+            assert np.array_equal(result.combined, pickle_combined)
+            boots += _zygote_boots(recorder)
+            spawns = [e for e in recorder.events() if e.kind == "worker_spawn"]
+            assert len(spawns) == 2
+            assert all(e.data["seconds"] > 0 for e in spawns)
+            analysis = TraceAnalysis.from_recorder(recorder)
+            assert analysis.daemon_spawn_seconds == pytest.approx(
+                sum(e.data["seconds"] for e in spawns)
+            )
+            assert any("daemon spawn:" in line for line in analysis.report_lines())
+        assert len(boots) == 1
+        assert boots[0].data["reason"] == "cold"
+        assert boots[0].data["seconds"] > 0
+
+    def test_zygote_killed_between_runs(self, pickle_combined):
+        _run(engine="socket")
+        _kill_zygote()
+        recorder = TraceRecorder()
+        result = _run(engine="socket", trace=recorder)
+        assert np.array_equal(result.combined, pickle_combined)
+        (boot,) = _zygote_boots(recorder)
+        assert boot.data["reason"].startswith("lost")
+        assert result.faults == 0
+
+    def test_zygote_killed_during_a_crash_run(self, pickle_combined, monkeypatch):
+        """The zygote dies after the daemons are forked; the crash's
+        revive finds it dead, boots a new one, and the run completes."""
+        _run(engine="socket")  # the zygote is up
+        run = SocketTaskEngine.run
+
+        def run_without_zygote(self, *args, **kwargs):
+            _kill_zygote()
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SocketTaskEngine, "run", run_without_zygote)
+        recorder = TraceRecorder()
+        result = _run(engine="socket", faults="crash@2,0", trace=recorder)
+        assert np.array_equal(result.combined, pickle_combined)
+        assert result.faults == 1
+        assert result.reconnects == 1
+        (boot,) = _zygote_boots(recorder)
+        assert boot.data["reason"].startswith("lost")
+
+    def test_shutdown_reaches_the_zygote_past_forked_holders(self):
+        """A fork pool forked after the boot holds copies of the
+        zygote's control socket; ``shutdown_pool`` still makes the
+        zygote exit on its own (exit code 0), not by the kill its
+        shutdown falls back to."""
+        _run(engine="socket")
+        zygote = pool._zygote
+        holders = pool.PersistentWorkerPool(1)
+        try:
+            shutdown_pool()
+            assert zygote.proc.returncode == 0
+        finally:
+            holders.shutdown()
+
+    @pytest.mark.parametrize("exit_call", ["raise SystemExit(0)", "os._exit(0)"])
+    def test_interpreter_exit_leaves_no_process(self, exit_call, tmp_path):
+        """A child interpreter does one socket run and exits without any
+        teardown call — normally (the ``atexit`` hook stops the zygote)
+        or through ``os._exit`` (no hook runs: the zygote sees its
+        master's pidfd turn readable).  Before exiting it forks a
+        process that keeps a copy of the zygote's control socket, as a
+        fork-pool worker would, so EOF alone cannot stop the zygote.  No
+        zygote, daemon or task instance outlives the interpreter."""
+        mark = f"repro-zygote-audit-{uuid.uuid4().hex}"
+        code = (
+            "import os, time\n"
+            "from repro.restructured import run_multiprocessing\n"
+            "r = run_multiprocessing(root=2, level=2, tol=1e-3, processes=2,"
+            " engine='socket')\n"
+            "assert r.daemons == 2\n"
+            "holder = os.fork()\n"
+            "if holder == 0:\n"
+            "    null = os.open(os.devnull, os.O_RDWR)\n"
+            "    os.dup2(null, 1)\n"
+            "    os.dup2(null, 2)\n"
+            "    time.sleep(60)\n"
+            "    os._exit(0)\n"
+            "print(holder, flush=True)\n"
+            + exit_call
+        )
+        env = dict(os.environ, AUDIT_MARK=mark)
+        # files, not pipes: a surviving zygote would hold a pipe open and
+        # make the wait below hang instead of the audit fail
+        out, err = tmp_path / "out", tmp_path / "err"
+        with out.open("w") as stdout, err.open("w") as stderr:
+            code_ = subprocess.call(
+                [sys.executable, "-c", code],
+                env=env, timeout=120, stdout=stdout, stderr=stderr,
+            )
+        assert code_ == 0, err.read_text()
+        holder = int(out.read_text().split()[-1])
+        try:
+            # an orphaned task instance notices its lost daemon within a second
+            deadline = time.monotonic() + 10.0
+            survivors = [p for p in _marked_processes(mark) if p != holder]
+            while survivors and time.monotonic() < deadline:
+                time.sleep(0.1)
+                survivors = [p for p in _marked_processes(mark) if p != holder]
+            assert survivors == []
+        finally:
+            os.kill(holder, signal.SIGKILL)
+
+
 class TestTaskEngineRun:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -665,8 +821,9 @@ class TestManyLinks:
         before = threading.active_count()
         sampler = threading.Thread(target=sample, daemon=True)
         sampler.start()
+        recorder = TraceRecorder()
         try:
-            result = _run(engine="socket", hosts="localhost:32")
+            result = _run(engine="socket", hosts="localhost:32", trace=recorder)
         finally:
             stop.set()
             sampler.join(timeout=5.0)
@@ -675,6 +832,14 @@ class TestManyLinks:
         assert result.faults == 0
         assert samples
         assert max(samples) <= before + 1  # + the sampler itself
+        # bring-up is 32 zygote forks: under a second once the one-time
+        # boot is set aside, both until the last connection and until
+        # the first-forked daemon's hello
+        boot = sum(e.data["seconds"] for e in _zygote_boots(recorder))
+        assert result.pool_cold_start_seconds - boot < 1.0
+        spawns = [e for e in recorder.events() if e.kind == "worker_spawn"]
+        assert len(spawns) == 32
+        assert max(e.data["seconds"] for e in spawns) < 1.0
 
 
 # ----------------------------------------------------------------------
